@@ -3,7 +3,8 @@
 Subcommands: analyze, sweep, graph, construct, transform, compare,
 predicate.  Exit codes: 0 success; 1 a check-style command answered
 "no" (predicate false, compare dissimilar); 2 input or parse error;
-3 internal invariant violation (a bug).
+3 internal invariant violation or any other unexpected exception (a
+bug).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -39,7 +41,7 @@ from .diametrical import (
     verify_parts_are_balls,
 )
 from .errors import InternalInvariantError, ParseError
-from .graphs import Partition, SimpleGraph, multipartite_parts
+from .graphs import Partition, SimpleGraph
 from .rationals import format_rational, parse_rational
 from .serialization import emit_graph, emit_space, load_graph, load_space, to_dot
 from .similarity import find_weak_similarity
@@ -77,17 +79,17 @@ class AnalysisReport:
 def analyze_space(space: FiniteSpace) -> AnalysisReport:
     require_valid(space)
     space_class = classify(space)
-    diam = diameter(space)
-    dgraph = diametrical_graph(space)
     many = space.n >= 2
+    sweep_report = sweep(space) if many else None
     return AnalysisReport(
         space=space,
         space_class=space_class,
-        diam=diam,
+        diam=diameter(space),
         distances=tuple(distance_set(space)),
-        diametrical=dgraph,
-        diametrical_parts=multipartite_parts(dgraph),
-        sweep_report=sweep(space) if many else None,
+        diametrical=diametrical_graph(space),
+        # the top threshold level is the diametrical graph
+        diametrical_parts=sweep_report.entries[-1].parts if many else None,
+        sweep_report=sweep_report,
         gap=(
             gap_condition(space)
             if many and space_class >= SpaceClass.METRIC_ONLY
@@ -448,6 +450,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # anything else is a bug; keep exit 1 meaning "answered no"
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

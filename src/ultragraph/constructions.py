@@ -129,6 +129,13 @@ def counterexample_metric(
     return FiniteSpace(verts, tuple(tuple(row) for row in rows))
 
 
+def _map_values(space: FiniteSpace, images: list[Fraction]) -> FiniteSpace:
+    """The space with every entry replaced by the image of its value;
+    `images` lists them in the order of `space.values`."""
+    rows = tuple(tuple(map(images.__getitem__, row)) for row in space.ranks)
+    return FiniteSpace(space.labels, rows)
+
+
 def truncate(space: FiniteSpace, r: Fraction | int | str) -> FiniteSpace:
     """Cap every distance at r (entrywise minimum).
 
@@ -139,8 +146,7 @@ def truncate(space: FiniteSpace, r: Fraction | int | str) -> FiniteSpace:
     r = as_rational(r)
     if r <= ZERO:
         raise ValueError(f"cap must be positive, got {format_rational(r)}")
-    rows = tuple(tuple(min(r, e) for e in row) for row in space.matrix)
-    return FiniteSpace(space.labels, rows)
+    return _map_values(space, [min(r, v) for v in space.values])
 
 
 def _require_ultrametric(space: FiniteSpace) -> None:
@@ -160,10 +166,7 @@ def bound_transform(space: FiniteSpace, dstar: Fraction | int | str) -> FiniteSp
     dstar = as_rational(dstar)
     if dstar <= ZERO:
         raise ValueError(f"dstar must be positive, got {format_rational(dstar)}")
-    rows = tuple(
-        tuple(dstar * t / (1 + t) for t in row) for row in space.matrix
-    )
-    return FiniteSpace(space.labels, rows)
+    return _map_values(space, [dstar * t / (1 + t) for t in space.values])
 
 
 def unbound_transform(space: FiniteSpace, dstar: Fraction | int | str) -> FiniteSpace:
@@ -181,10 +184,7 @@ def unbound_transform(space: FiniteSpace, dstar: Fraction | int | str) -> Finite
             f"dstar must exceed every distance; got {format_rational(dstar)} "
             f"with largest distance {format_rational(diam)}"
         )
-    rows = tuple(
-        tuple(s / (dstar - s) for s in row) for row in space.matrix
-    )
-    return FiniteSpace(space.labels, rows)
+    return _map_values(space, [s / (dstar - s) for s in space.values])
 
 
 def _is_prime(p: int) -> bool:

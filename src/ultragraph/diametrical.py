@@ -4,16 +4,18 @@ The diametrical graph joins the point pairs that realize the diameter.
 The threshold graph at level r joins pairs at distance >= r.  Sweeping
 r over the attained distances and asking each threshold graph to be
 empty or complete multipartite decides ultrametricity without ever
-checking a triangle; `classify` remains the independent oracle.
+checking a triangle.  The sweep reads `FiniteSpace.levels`, one
+union-find pass over the pairs, and builds no threshold graph.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .graphs import Partition, SimpleGraph, multipartite_parts
+from .graphs import Partition, SimpleGraph
 from .rationals import ZERO, as_rational, format_rational
 from .spaces import (
     FiniteSpace,
@@ -50,15 +52,25 @@ class SweepReport:
     """Per-threshold classifications plus the overall verdict.
 
     `verdict` is True iff every threshold graph is empty or complete
-    multipartite, which for metric inputs holds exactly when the space
-    is ultrametric.  `metric_input` flags whether the swept space
-    satisfies the triangle inequality at all; the verdict is only
-    guaranteed to mean ultrametricity when it does.
+    multipartite, which holds exactly when the space is ultrametric,
+    metric or not.  `metric_input` flags whether the swept space
+    satisfies the triangle inequality at all.
     """
 
     entries: tuple[ThresholdEntry, ...]
     verdict: bool
     metric_input: bool
+
+
+def _graph(space: FiniteSpace, lowest_rank: int) -> SimpleGraph:
+    labels, n = space.labels, space.n
+    edges = frozenset(
+        frozenset((labels[i], labels[j]))
+        for i, row in enumerate(space.ranks)
+        for j in range(i + 1, n)
+        if row[j] >= lowest_rank
+    )
+    return SimpleGraph(labels, edges)
 
 
 def diametrical_graph(space: FiniteSpace) -> SimpleGraph:
@@ -68,15 +80,7 @@ def diametrical_graph(space: FiniteSpace) -> SimpleGraph:
     finite space attains its diameter, so the graph has an edge.
     """
     require_valid(space)
-    diam = diameter(space)
-    labels, m = space.labels, space.matrix
-    edges = set()
-    if space.n >= 2:
-        for i in range(space.n):
-            for j in range(i + 1, space.n):
-                if m[i][j] == diam:
-                    edges.add(frozenset((labels[i], labels[j])))
-    return SimpleGraph(labels, frozenset(edges))
+    return _graph(space, len(space.values) - 1)
 
 
 def threshold_graph(space: FiniteSpace, r: Fraction | int | str) -> SimpleGraph:
@@ -85,13 +89,12 @@ def threshold_graph(space: FiniteSpace, r: Fraction | int | str) -> SimpleGraph:
     r = as_rational(r)
     if r <= ZERO:
         raise ValueError(f"threshold must be positive, got {format_rational(r)}")
-    labels, m = space.labels, space.matrix
-    edges = set()
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            if m[i][j] >= r:
-                edges.add(frozenset((labels[i], labels[j])))
-    return SimpleGraph(labels, frozenset(edges))
+    return _graph(space, bisect_left(space.values, r))
+
+
+def _partition(space: FiniteSpace, classes: tuple[tuple[int, ...], ...]) -> Partition:
+    labels = space.labels
+    return Partition(tuple(frozenset(labels[p] for p in c) for c in classes))
 
 
 def sweep(space: FiniteSpace) -> SweepReport:
@@ -100,30 +103,26 @@ def sweep(space: FiniteSpace) -> SweepReport:
     Checking only the attained distances is exhaustive: between two
     consecutive distance values the edge set {d >= r} does not change,
     so each threshold graph for r in (0, diam] equals one of the swept
-    graphs.  Requires at least two points.
+    graphs.  At an attained r the graph has an edge, so no swept level
+    is empty; its parts, when it is complete multipartite, are the
+    classes of "d < r" (see `FiniteSpace.levels`).  Requires at least
+    two points.
     """
     require_valid(space)
     if space.n < 2:
         raise ValueError("sweep needs at least two points")
-    metric_input = classify(space) >= SpaceClass.METRIC_ONLY
-    entries: list[ThresholdEntry] = []
-    verdict = True
-    for r in distance_set(space):
-        if r == ZERO:
-            continue
-        graph = threshold_graph(space, r)
-        if not graph.edges:
-            entries.append(ThresholdEntry(r, ThresholdKind.EMPTY, None))
-            continue
-        parts = multipartite_parts(graph)
-        if parts is None:
-            entries.append(ThresholdEntry(r, ThresholdKind.NOT_MULTIPARTITE, None))
-            verdict = False
-        else:
-            entries.append(
-                ThresholdEntry(r, ThresholdKind.COMPLETE_MULTIPARTITE, parts)
-            )
-    return SweepReport(tuple(entries), verdict, metric_input)
+    entries = tuple(
+        ThresholdEntry(space.values[k], ThresholdKind.NOT_MULTIPARTITE, None)
+        if classes is None
+        else ThresholdEntry(
+            space.values[k],
+            ThresholdKind.COMPLETE_MULTIPARTITE,
+            _partition(space, classes),
+        )
+        for k, classes in space.levels
+    )
+    verdict = all(entry.parts is not None for entry in entries)
+    return SweepReport(entries, verdict, classify(space) >= SpaceClass.METRIC_ONLY)
 
 
 def verify_parts_are_balls(space: FiniteSpace) -> bool:
@@ -132,16 +131,16 @@ def verify_parts_are_balls(space: FiniteSpace) -> bool:
     Defined for ultrametric spaces with at least two points, where it
     must always return True: the parts of the (complete multipartite)
     diametrical graph coincide with the distinct open balls of radius
-    equal to the diameter.
+    equal to the diameter.  The parts are the classes of the top
+    threshold level; the balls are computed point by point.
     """
     require_valid(space)
     if space.n < 2:
         raise ValueError("need at least two points")
     if classify(space) is not SpaceClass.ULTRAMETRIC:
         raise ValueError("space is not ultrametric")
-    parts = multipartite_parts(diametrical_graph(space))
-    if parts is None:
-        return False
+    _, classes = space.levels[-1]
+    parts = _partition(space, classes)
     balls = ball_family(space, diameter(space))
     return set(parts.blocks) == set(balls.balls)
 

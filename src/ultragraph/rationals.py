@@ -5,24 +5,53 @@ are rejected everywhere: the library's decisions hinge on exact equality
 (for example "does this entry equal the diameter"), which binary
 rounding would silently corrupt.  Decimal strings like "1.5" parse
 exactly (denominator a power of ten).
+
+Parsed values are bounded: a short token such as "1e100000000" would
+otherwise force a huge integer, and a numerator or denominator longer
+than Python's int-to-string limit could be read but never emitted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import ParseError
+
 Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# Python's default limit for int <-> str conversion: a longer numerator
+# or denominator could not be emitted.
+MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS
+
 
 def parse_rational(token: str) -> Fraction:
-    """Parse "p/q", an integer, or a decimal string into an exact Fraction."""
+    """Parse "p/q", an integer, or a decimal string into an exact Fraction.
+
+    Raises ParseError when the numerator or denominator would exceed
+    MAX_DIGITS digits; an exponent beyond MAX_DIGITS is refused before
+    any integer is built.
+    """
+    text = token.strip()
+    _, marker, exponent = text.lower().partition("e")
+    if marker:
+        digits = exponent.lstrip("+-").lstrip("0")
+        if len(digits) > len(str(MAX_DIGITS)) or (
+            digits.isdecimal() and int(digits) > MAX_DIGITS
+        ):
+            raise ParseError(
+                f"exponent of {token!r} is beyond the {MAX_DIGITS}-digit limit"
+            )
     try:
-        return Fraction(token.strip())
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {token!r}") from exc
+    if abs(value.numerator) >= _TOO_LONG or value.denominator >= _TOO_LONG:
+        raise ParseError(f"{token!r} has more than {MAX_DIGITS} digits")
+    return value
 
 
 def as_rational(value: Fraction | int | str) -> Fraction:

@@ -22,6 +22,7 @@ reproduces it byte for byte.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import ParseError
@@ -56,6 +57,9 @@ def parse_space(text: str, origin: str = "<input>") -> FiniteSpace:
         raise ParseError(
             f"{origin}:{lineno}: expected {n} matrix rows for {n} points, found {len(body)}"
         )
+    # Documents repeat a handful of distinct tokens: parse each once, and
+    # let equal entries share one Fraction object.
+    parsed: dict[str, Fraction] = {}
     rows = []
     for row_index, (row_lineno, line) in enumerate(body):
         tokens = line.split()
@@ -65,12 +69,17 @@ def parse_space(text: str, origin: str = "<input>") -> FiniteSpace:
             )
         row = []
         for col, token in enumerate(tokens, start=1):
-            try:
-                row.append(parse_rational(token))
-            except ValueError:
-                raise ParseError(
-                    f"{origin}:{row_lineno}: entry {col} ({token!r}) is not a rational"
-                ) from None
+            value = parsed.get(token)
+            if value is None:
+                try:
+                    value = parsed[token] = parse_rational(token)
+                except ParseError as exc:
+                    raise ParseError(f"{origin}:{row_lineno}: entry {col}: {exc}") from None
+                except ValueError:
+                    raise ParseError(
+                        f"{origin}:{row_lineno}: entry {col} ({token!r}) is not a rational"
+                    ) from None
+            row.append(value)
         rows.append(tuple(row))
     try:
         return FiniteSpace(tuple(labels), tuple(rows))

@@ -65,11 +65,6 @@ class WeakSimilarity:
         )
 
 
-def _rank_matrix(space: FiniteSpace, values: list[Fraction]) -> list[list[int]]:
-    rank = {v: i for i, v in enumerate(values)}
-    return [[rank[e] for e in row] for row in space.matrix]
-
-
 def find_weak_similarity(a: FiniteSpace, b: FiniteSpace) -> WeakSimilarity | None:
     """Search for a weak similarity from a to b; None when there is none.
 
@@ -85,12 +80,10 @@ def find_weak_similarity(a: FiniteSpace, b: FiniteSpace) -> WeakSimilarity | Non
     n = a.n
     if n != b.n:
         return None
-    da = distance_set(a)
-    db = distance_set(b)
+    da, db = a.values, b.values
     if len(da) != len(db):
         return None
-    ra = _rank_matrix(a, da)
-    rb = _rank_matrix(b, db)
+    ra, rb = a.ranks, b.ranks
     profile_a = [tuple(sorted(ra[i][j] for j in range(n) if j != i)) for i in range(n)]
     profile_b = [tuple(sorted(rb[i][j] for j in range(n) if j != i)) for i in range(n)]
     if sorted(profile_a) != sorted(profile_b):

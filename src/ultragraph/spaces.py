@@ -5,18 +5,29 @@ A `FiniteSpace` is a labelled point set plus a square matrix of
 distinct labels, exact entries); the distance axioms are checked by
 `validate`, so malformed matrices can still be built and reported on.
 
-Classification walks every point triple and is deliberately brute
-force: it is the oracle that all graph-based ultrametricity tests in
-this package are measured against.
+Each derived fact is computed at most once per space and cached on it:
+the sorted distinct entries, the rank of every entry among them, the
+axiom check, the threshold levels and the class.  Order-only questions
+(axioms, balls, threshold levels) compare integer ranks, not Fractions.
+
+The threshold levels come from one union-find pass over the point
+pairs in ascending distance order.  A valid space is ultrametric
+exactly when "d < r" is an equivalence relation at every attained r,
+so `classify` answers ULTRAMETRIC from those levels alone.  Only when
+a level fails does it scan every point triple, to tell metric spaces
+from semimetric ones.  The brute-force classifier that the tests hold
+all of this to is `naive_classify` in the test suite's `util` module.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Iterable
 
 from ._canon import canonical_blocks
@@ -89,6 +100,118 @@ class FiniteSpace:
     def distance(self, x: str, y: str) -> Fraction:
         return self.matrix[self.position(x)][self.position(y)]
 
+    @cached_property
+    def _encoding(self) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]:
+        # Entries are usually shared objects (the parser and the
+        # constructions reuse one Fraction per value), so key them by
+        # identity and hash each distinct object once: Fraction hashing
+        # runs Python code.
+        by_id: dict[int, Fraction] = {}
+        for row in self.matrix:
+            by_id.update(zip(map(id, row), row))
+        values = tuple(sorted(set(by_id.values())))
+        rank = {v: k for k, v in enumerate(values)}
+        rank_by_id = {key: rank[e] for key, e in by_id.items()}
+        ranks = tuple(
+            tuple(map(rank_by_id.__getitem__, map(id, row))) for row in self.matrix
+        )
+        return values, ranks
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """Every distinct matrix entry, ascending; the distance set of a valid space."""
+        return self._encoding[0]
+
+    @property
+    def ranks(self) -> tuple[tuple[int, ...], ...]:
+        """Rank matrix: `values[ranks[i][j]] == matrix[i][j]`."""
+        return self._encoding[1]
+
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        labels, m, ranks = self.labels, self.matrix, self.ranks
+        positive = bisect_right(self.values, ZERO)  # lowest rank of a positive entry
+        violations: list[Violation] = []
+        for i in range(self.n):
+            if m[i][i] != ZERO:
+                violations.append(
+                    Violation(
+                        "identity",
+                        (labels[i], labels[i]),
+                        f"expected 0, found {format_rational(m[i][i])}",
+                    )
+                )
+        for i, row in enumerate(ranks):
+            for j in range(i + 1, self.n):
+                if row[j] != ranks[j][i]:
+                    violations.append(
+                        Violation(
+                            "symmetry",
+                            (labels[i], labels[j]),
+                            f"{format_rational(m[i][j])} != {format_rational(m[j][i])}",
+                        )
+                    )
+                if row[j] < positive:
+                    violations.append(
+                        Violation(
+                            "positivity",
+                            (labels[i], labels[j]),
+                            f"distance {format_rational(m[i][j])} is not positive",
+                        )
+                    )
+        return tuple(violations)
+
+    @cached_property
+    def levels(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...] | None], ...]:
+        """The threshold levels, one per attained positive distance r, ascending.
+
+        Each level is (rank of r in `values`, classes).  The classes
+        are those of "d < r" as ascending position tuples ordered by
+        their first point, or None when that relation is not an
+        equivalence, i.e. when the threshold graph {d >= r} is not
+        complete multipartite.  One pass merges the pairs in ascending
+        distance order with union-find: the classes before merging
+        rank k are the components of {d < r}, and level k passes
+        exactly when every pair inside a component is at distance
+        below r, i.e. when #pairs(d < r) equals the sum of C(|C|, 2)
+        over the components.  Validates the space first.
+        """
+        require_valid(self)
+        n = self.n
+        buckets: list[list[tuple[int, int]]] = [[] for _ in self.values]
+        for i, row in enumerate(self.ranks):
+            for j in range(i + 1, n):
+                buckets[row[j]].append((i, j))
+        owner = list(range(n))  # class id of each point
+        members = [[i] for i in range(n)]  # points of each class id
+        below = within = 0  # pairs with d < r; pairs inside one class
+        levels = []
+        for k in range(1, len(buckets)):  # rank 0 is the distance 0
+            classes = None
+            if below == within:
+                classes = tuple(sorted(tuple(sorted(c)) for c in members if c))
+            levels.append((k, classes))
+            for i, j in buckets[k]:
+                a, b = owner[i], owner[j]
+                if a != b:
+                    if len(members[a]) < len(members[b]):
+                        a, b = b, a
+                    within += len(members[a]) * len(members[b])
+                    for p in members[b]:
+                        owner[p] = a
+                    members[a] += members[b]
+                    members[b] = []
+            below += len(buckets[k])
+        return tuple(levels)
+
+    @cached_property
+    def _class(self) -> SpaceClass:
+        if all(classes is not None for _, classes in self.levels):
+            return SpaceClass.ULTRAMETRIC
+        if _satisfies_triangle(self):
+            return SpaceClass.METRIC_ONLY
+        return SpaceClass.SEMIMETRIC_ONLY
+
 
 @dataclass(frozen=True)
 class BallFamily:
@@ -103,109 +226,60 @@ def validate(space: FiniteSpace) -> list[Violation]:
 
     Reports, entry by entry: nonzero diagonal ("identity"), asymmetric
     pairs ("symmetry"), and nonpositive off-diagonal entries
-    ("positivity").
+    ("positivity").  The check runs once per space; later calls read
+    its cached result.
     """
-    labels, m = space.labels, space.matrix
-    n = len(labels)
-    violations: list[Violation] = []
-    for i in range(n):
-        if m[i][i] != ZERO:
-            violations.append(
-                Violation(
-                    "identity",
-                    (labels[i], labels[i]),
-                    f"expected 0, found {format_rational(m[i][i])}",
-                )
-            )
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                violations.append(
-                    Violation(
-                        "symmetry",
-                        (labels[i], labels[j]),
-                        f"{format_rational(m[i][j])} != {format_rational(m[j][i])}",
-                    )
-                )
-            if m[i][j] <= ZERO:
-                violations.append(
-                    Violation(
-                        "positivity",
-                        (labels[i], labels[j]),
-                        f"distance {format_rational(m[i][j])} is not positive",
-                    )
-                )
-    return violations
+    return list(space._violations)
 
 
 def require_valid(space: FiniteSpace) -> None:
     """Raise ValueError listing every axiom violation, if any."""
-    violations = validate(space)
+    violations = space._violations
     if violations:
         summary = "; ".join(str(v) for v in violations)
         raise ValueError(f"invalid space: {summary}")
 
 
-def _integer_matrix(space: FiniteSpace) -> list[list[int]]:
-    # Common-denominator rescale; order comparisons are scale-invariant,
-    # and plain int comparisons keep the triple loop fast.
-    scale = math.lcm(*{e.denominator for row in space.matrix for e in row})
-    return [
-        [e.numerator * (scale // e.denominator) for e in row] for row in space.matrix
-    ]
+def _satisfies_triangle(space: FiniteSpace) -> bool:
+    # Common-denominator rescale to plain ints.  d(i, j) <= d(i, k) +
+    # d(k, j) for every k is d(i, j) <= min over k, and k = i attains
+    # d(i, j) itself, so the pair fails exactly when the minimum is lower.
+    values = space.values
+    scale = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    m = [list(map(scaled.__getitem__, row)) for row in space.ranks]
+    return all(
+        mi[j] <= min(map(add, mi, m[j]))
+        for i, mi in enumerate(m)
+        for j in range(i + 1, space.n)
+    )
 
 
 def classify(space: FiniteSpace) -> SpaceClass:
-    """Strongest class the space satisfies, by exhaustive triple check.
+    """Strongest class the space satisfies; computed once per space.
 
-    A triple passes the strong triangle inequality exactly when its
-    largest side is attained at least twice, and the plain triangle
-    inequality when the largest side is at most the sum of the other
-    two; both facts cover all six ordered versions of the triple at
-    once.  Runs over exact integers after a common-denominator rescale.
+    ULTRAMETRIC exactly when every threshold level of
+    `FiniteSpace.levels` passes: "d < r" is transitive at every
+    attained r iff d(x, z) <= max(d(x, y), d(y, z)) for all triples.
+    Otherwise the triangle inequality decides between METRIC_ONLY and
+    SEMIMETRIC_ONLY, by an O(n^3) scan over exact integers after a
+    common-denominator rescale; that scan is the only triple scan, and
+    it runs only on spaces that are not ultrametric.
     """
     require_valid(space)
-    n = space.n
-    if n < 3:
-        return SpaceClass.ULTRAMETRIC
-    m = _integer_matrix(space)
-    ultra = True
-    for i in range(n - 2):
-        mi = m[i]
-        for j in range(i + 1, n - 1):
-            a = mi[j]
-            mj = m[j]
-            for k in range(j + 1, n):
-                b = mi[k]
-                c = mj[k]
-                if a >= b:
-                    hi, mid = a, b
-                else:
-                    hi, mid = b, a
-                if c >= hi:
-                    lo, mid, hi = mid, hi, c
-                elif c > mid:
-                    lo = mid
-                    mid = c
-                else:
-                    lo = c
-                if hi > mid + lo:
-                    return SpaceClass.SEMIMETRIC_ONLY
-                if hi > mid:
-                    ultra = False
-    return SpaceClass.ULTRAMETRIC if ultra else SpaceClass.METRIC_ONLY
+    return space._class
 
 
 def distance_set(space: FiniteSpace) -> list[Fraction]:
     """Strictly increasing list of all attained distances; always starts at 0."""
     require_valid(space)
-    return sorted({e for row in space.matrix for e in row})
+    return list(space.values)
 
 
 def diameter(space: FiniteSpace) -> Fraction:
     """Largest attained distance; 0 exactly for one-point spaces."""
     require_valid(space)
-    return max(e for row in space.matrix for e in row)
+    return space.values[-1]
 
 
 def open_ball(
@@ -216,18 +290,16 @@ def open_ball(
     r = as_rational(radius)
     if r <= ZERO:
         raise ValueError(f"radius must be positive, got {format_rational(r)}")
-    row = space.matrix[space.position(center)]
-    return frozenset(
-        label for label, d in zip(space.labels, row) if d < r
-    )
+    return _ball(space, space.ranks[space.position(center)], r)
+
+
+def _ball(space: FiniteSpace, ranks: tuple[int, ...], r: Fraction) -> frozenset[str]:
+    cut = bisect_left(space.values, r)  # entries below r have ranks below cut
+    return frozenset(label for label, k in zip(space.labels, ranks) if k < cut)
 
 
 def _all_balls(space: FiniteSpace, r: Fraction) -> list[frozenset[str]]:
-    labels = space.labels
-    return [
-        frozenset(label for label, d in zip(labels, row) if d < r)
-        for row in space.matrix
-    ]
+    return [_ball(space, row, r) for row in space.ranks]
 
 
 def ball_family(space: FiniteSpace, radius: Fraction | int | str) -> BallFamily:

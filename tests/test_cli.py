@@ -15,7 +15,9 @@ from ultragraph import (
     parse_space,
     to_dot,
 )
+from ultragraph import cli, rationals
 from ultragraph.cli import main
+from ultragraph.rationals import parse_rational
 from util import cycle_graph, random_metric_space, triple_space
 
 SPACE_221 = "points: a b c\n0 2 2\n2 0 1\n2 1 0\n"
@@ -224,6 +226,39 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
     assert main(["no-such-command"]) == 2
+
+
+def test_overlong_rationals_are_parse_errors(tmp_path, space_file, capsys):
+    doc = tmp_path / "huge.txt"
+    doc.write_text("points: a b c\n0 1e5000 1e5000\n1e5000 0 1\n1e5000 1 0\n")
+    assert main(["analyze", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert "huge.txt:2: entry 2" in err and "4300-digit limit" in err
+
+    assert main(["transform", "truncate", "--r", "1e6000", space_file]) == 2
+    assert "4300-digit limit" in capsys.readouterr().err
+
+    with pytest.raises(ParseError, match="more than 4300 digits"):
+        parse_rational("1e4300")
+    assert len(str(parse_rational("1e4299"))) == 4300
+
+
+def test_huge_exponent_is_refused_before_any_integer_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Fraction built for an over-limit token")
+
+    monkeypatch.setattr(rationals, "Fraction", refuse)
+    with pytest.raises(ParseError, match="exponent"):
+        parse_rational("1e100000000")
+
+
+def test_unexpected_exceptions_exit_three(monkeypatch, space_file, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_analyze", broken)
+    assert main(["analyze", space_file]) == 3
+    assert "RuntimeError: boom" in capsys.readouterr().err
 
 
 def test_output_flag_writes_files(tmp_path, space_file):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultragraph import (
     FiniteSpace,
@@ -23,9 +25,13 @@ from ultragraph import (
     verify_parts_are_balls,
 )
 from util import (
+    naive_classify,
+    naive_sweep,
+    naive_threshold_graph,
     path_graph,
     random_grid_metric,
     random_semimetric,
+    random_space,
     space_from_upper,
     triple_space,
 )
@@ -235,3 +241,22 @@ def test_truncation_matches_threshold_graphs_for_ultrametrics():
         s = random_ultrametric(rng.randint(2, 12), rng.randint(1, 4), seed=rng.randrange(2**32))
         for r in distance_set(s)[1:]:
             assert diametrical_graph(truncate(s, r)) == threshold_graph(s, r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["ultrametric", "grid", "semimetric"]),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweep_and_threshold_graphs_match_the_literal_oracle(kind, n, seed):
+    s = random_space(kind, n, seed)
+    values = distance_set(s)
+    for low, high in zip(values, values[1:] + [values[-1] + 1]):
+        for r in (high, (low + high) / 2):
+            assert threshold_graph(s, r) == naive_threshold_graph(s, r)
+    if n >= 2:
+        report = sweep(s)
+        assert report.entries == tuple(naive_sweep(s))
+        assert report.verdict == (naive_classify(s) is SpaceClass.ULTRAMETRIC)
+        assert report.metric_input == (naive_classify(s) >= SpaceClass.METRIC_ONLY)

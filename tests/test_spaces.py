@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultragraph import (
     FiniteSpace,
@@ -17,7 +19,14 @@ from ultragraph import (
     random_ultrametric,
     validate,
 )
-from util import naive_classify, path_graph, random_grid_metric, random_semimetric, triple_space
+from util import (
+    naive_classify,
+    path_graph,
+    random_grid_metric,
+    random_semimetric,
+    random_space,
+    triple_space,
+)
 
 F = Fraction
 
@@ -201,3 +210,19 @@ def test_exact_decimal_parsing_no_binary_rounding():
     assert s.matrix[0][1] != F(0.1)  # binary 0.1 is a different rational
     t = FiniteSpace.from_rows("ab", [["0", "1/3"], ["1/3", "0"]])
     assert t.matrix[0][1] * 3 == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["ultrametric", "grid", "semimetric"]),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_classify_and_balls_match_the_literal_oracles(kind, n, seed):
+    s = random_space(kind, n, seed)
+    assert classify(s) is naive_classify(s)
+    values = distance_set(s)
+    for r in values[1:] + [values[-1] + F(1, 3)]:
+        for x in s.labels:
+            literal = {y for y in s.labels if s.distance(x, y) < r}
+            assert open_ball(s, x, r) == literal

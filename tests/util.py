@@ -1,9 +1,10 @@
 """Shared generators and naive oracles for the test suite.
 
 The oracles here stay deliberately dumb: `naive_classify` walks every
-ordered triple on raw Fractions, and `naive_weak_similarity` tries all
-bijections.  They are independent of the library's faster code paths
-and exist to keep those honest.
+ordered triple on raw Fractions, `naive_sweep` builds one frozenset
+threshold graph per attained distance, and `naive_weak_similarity`
+tries all bijections.  They are independent of the library's faster
+code paths and exist to keep those honest.
 """
 
 from __future__ import annotations
@@ -12,7 +13,16 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from ultragraph import FiniteSpace, SimpleGraph, SpaceClass, distance_set, random_ultrametric
+from ultragraph import (
+    FiniteSpace,
+    SimpleGraph,
+    SpaceClass,
+    ThresholdEntry,
+    ThresholdKind,
+    distance_set,
+    multipartite_parts,
+    random_ultrametric,
+)
 
 ZERO = Fraction(0)
 
@@ -34,6 +44,35 @@ def naive_classify(space: FiniteSpace) -> SpaceClass:
     if not triangle:
         return SpaceClass.SEMIMETRIC_ONLY
     return SpaceClass.ULTRAMETRIC if strong else SpaceClass.METRIC_ONLY
+
+
+def naive_threshold_graph(space: FiniteSpace, r: Fraction) -> SimpleGraph:
+    """Pairs at distance >= r, compared as Fractions."""
+    labels, m = space.labels, space.matrix
+    edges = set()
+    for i in range(space.n):
+        for j in range(i + 1, space.n):
+            if m[i][j] >= r:
+                edges.add(frozenset((labels[i], labels[j])))
+    return SimpleGraph(labels, frozenset(edges))
+
+
+def naive_sweep(space: FiniteSpace) -> list[ThresholdEntry]:
+    """Classify a literal threshold graph at every attained positive distance."""
+    entries = []
+    for r in sorted({e for row in space.matrix for e in row}):
+        if r == ZERO:
+            continue
+        graph = naive_threshold_graph(space, r)
+        if not graph.edges:
+            entries.append(ThresholdEntry(r, ThresholdKind.EMPTY, None))
+            continue
+        parts = multipartite_parts(graph)
+        if parts is None:
+            entries.append(ThresholdEntry(r, ThresholdKind.NOT_MULTIPARTITE, None))
+        else:
+            entries.append(ThresholdEntry(r, ThresholdKind.COMPLETE_MULTIPARTITE, parts))
+    return entries
 
 
 def space_from_upper(labels, entries) -> FiniteSpace:
@@ -76,6 +115,14 @@ def random_semimetric(rng: random.Random, n: int) -> FiniteSpace:
     return space_from_upper(
         labels, [rng.choice(values) for _ in range(n * (n - 1) // 2)]
     )
+
+
+def random_space(kind: str, n: int, seed: int) -> FiniteSpace:
+    """A seeded random ultrametric, grid metric or semimetric on n points."""
+    if kind == "ultrametric":
+        return random_ultrametric(n, 1 + seed % 4, seed=seed)
+    rng = random.Random(seed)
+    return random_grid_metric(rng, n) if kind == "grid" else random_semimetric(rng, n)
 
 
 def random_metric_space(rng: random.Random, n: int) -> FiniteSpace:
