@@ -34,7 +34,6 @@ from .graphs import (
 from .diametrical import (
     SweepReport,
     ThresholdEntry,
-    ThresholdKind,
     diametrical_graph,
     gap_condition,
     sweep,
@@ -80,7 +79,6 @@ __all__ = [
     "SpaceClass",
     "SweepReport",
     "ThresholdEntry",
-    "ThresholdKind",
     "Violation",
     "WeakSimilarity",
     "as_rational",

@@ -14,7 +14,6 @@ import json
 import sys
 import traceback
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -33,7 +32,6 @@ from .constructions import (
 )
 from .diametrical import (
     SweepReport,
-    ThresholdKind,
     diametrical_graph,
     gap_condition,
     sweep,
@@ -41,18 +39,11 @@ from .diametrical import (
     verify_parts_are_balls,
 )
 from .errors import InternalInvariantError, ParseError
-from .graphs import Partition, SimpleGraph
+from .graphs import Partition
 from .rationals import format_rational, parse_rational
 from .serialization import emit_graph, emit_space, load_graph, load_space, to_dot
 from .similarity import find_weak_similarity
-from .spaces import (
-    FiniteSpace,
-    SpaceClass,
-    classify,
-    diameter,
-    distance_set,
-    require_valid,
-)
+from .spaces import FiniteSpace, SpaceClass, classify, distance_set, require_valid
 
 _CLASS_NAMES = {
     SpaceClass.SEMIMETRIC_ONLY: "semimetric",
@@ -67,9 +58,7 @@ class AnalysisReport:
 
     space: FiniteSpace
     space_class: SpaceClass
-    diam: Fraction
-    distances: tuple[Fraction, ...]
-    diametrical: SimpleGraph
+    diametrical_edges: int  # pairs at the diameter
     diametrical_parts: Partition | None
     sweep_report: SweepReport | None  # None for one-point spaces
     gap: bool | None  # None unless the triangle inequality holds and n >= 2
@@ -81,12 +70,12 @@ def analyze_space(space: FiniteSpace) -> AnalysisReport:
     space_class = classify(space)
     many = space.n >= 2
     sweep_report = sweep(space) if many else None
+    top = len(space.values) - 1  # rank of the diameter
     return AnalysisReport(
         space=space,
         space_class=space_class,
-        diam=diameter(space),
-        distances=tuple(distance_set(space)),
-        diametrical=diametrical_graph(space),
+        # each diameter pair appears twice in the matrix; one point gives 1 // 2 == 0
+        diametrical_edges=sum(row.count(top) for row in space.ranks) // 2,
         # the top threshold level is the diametrical graph
         diametrical_parts=sweep_report.entries[-1].parts if many else None,
         sweep_report=sweep_report,
@@ -110,12 +99,13 @@ def _partition_lists(parts: Partition, order: Sequence[str]) -> list[list[str]]:
 
 def _sweep_json(report: SweepReport, order: Sequence[str]) -> dict:
     return {
-        "metric_input": report.metric_input,
         "verdict": report.verdict,
         "thresholds": [
             {
                 "r": format_rational(entry.radius),
-                "class": entry.kind.value,
+                "class": (
+                    "not-multipartite" if entry.parts is None else "complete-multipartite"
+                ),
                 "k": entry.part_count,
                 "parts": (
                     None
@@ -137,15 +127,15 @@ def _provenance(argv: Sequence[str]) -> dict:
 
 
 def _report_json(report: AnalysisReport, argv: Sequence[str]) -> dict:
-    order = report.space.labels
+    order, values = report.space.labels, report.space.values
     return {
         "provenance": _provenance(argv),
         "points": list(order),
         "class": _CLASS_NAMES[report.space_class],
-        "diameter": format_rational(report.diam),
-        "distance_set": [format_rational(v) for v in report.distances],
+        "diameter": format_rational(values[-1]),
+        "distance_set": [format_rational(v) for v in values],
         "diametrical_graph": {
-            "edge_count": len(report.diametrical.edges),
+            "edge_count": report.diametrical_edges,
             "multipartite": report.diametrical_parts is not None,
             "parts": (
                 None
@@ -166,16 +156,13 @@ def _report_json(report: AnalysisReport, argv: Sequence[str]) -> dict:
 def _sweep_text(report: SweepReport, order: Sequence[str]) -> list[str]:
     lines = []
     verdict = "ultrametric" if report.verdict else "not ultrametric"
-    qualifier = "" if report.metric_input else " (input is not metric; verdict is structural only)"
-    lines.append(f"sweep verdict:     {verdict}{qualifier}")
+    lines.append(f"sweep verdict:     {verdict}")
     for entry in report.entries:
-        if entry.kind is ThresholdKind.COMPLETE_MULTIPARTITE:
+        if entry.parts is None:
+            detail = "not multipartite"
+        else:
             parts = " ".join(format_block(b, order) for b in entry.parts.blocks)
             detail = f"complete multipartite  k={entry.part_count}  parts: {parts}"
-        elif entry.kind is ThresholdKind.EMPTY:
-            detail = "empty"
-        else:
-            detail = "not multipartite"
         lines.append(f"  r={format_rational(entry.radius)}  {detail}")
     return lines
 
@@ -185,22 +172,20 @@ def _flag(value: bool | None) -> str:
 
 
 def _report_text(report: AnalysisReport, argv: Sequence[str]) -> str:
-    order = report.space.labels
+    order, values = report.space.labels, report.space.values
     lines = [
         f"# ultragraph {__version__} -- {' '.join(argv)}",
         f"points:            {len(order)} ({' '.join(order)})",
         f"class:             {_CLASS_NAMES[report.space_class]}",
-        f"diameter:          {format_rational(report.diam)}",
-        "distance set:      " + " ".join(format_rational(v) for v in report.distances),
+        f"diameter:          {format_rational(values[-1])}",
+        "distance set:      " + " ".join(format_rational(v) for v in values),
     ]
     if report.diametrical_parts is None:
         summary = "not multipartite"
     else:
         blocks = " ".join(format_block(b, order) for b in report.diametrical_parts.blocks)
         summary = f"complete multipartite, parts: {blocks}"
-    lines.append(
-        f"diametrical graph: {len(report.diametrical.edges)} edges; {summary}"
-    )
+    lines.append(f"diametrical graph: {report.diametrical_edges} edges; {summary}")
     lines.append(f"gap condition:     {_flag(report.gap)}")
     lines.append(f"parts are balls:   {_flag(report.parts_are_balls)}")
     if report.sweep_report is not None:

@@ -26,6 +26,10 @@ from .spaces import (
 
 TWO = Fraction(2)
 
+# Largest n * n matrix a construction builds from a few parameters
+# (n <= 2000); larger requests are refused before anything is allocated.
+MAX_ENTRIES = 4_000_000
+
 
 def metric_from_graph(g: SimpleGraph) -> FiniteSpace:
     """Distance 2 across edges, 1 across non-edges, 0 on the diagonal.
@@ -198,7 +202,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def padic_space(p: int, k: int, max_points: int = 10_000) -> FiniteSpace:
+def padic_space(p: int, k: int) -> FiniteSpace:
     """Residues mod p**k with distance p**(-v), v the p-adic valuation.
 
     Points are labelled "0" .. str(p**k - 1); the distance between
@@ -207,13 +211,17 @@ def padic_space(p: int, k: int, max_points: int = 10_000) -> FiniteSpace:
     ultrametric with diameter 1; the diametrical graph is complete
     p-partite with the residue classes mod p as parts.
     """
-    if not _is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    # checked before p**k or the primality test can run long: a prime
+    # to a power past the budget's bit length is over budget
+    if k >= MAX_ENTRIES.bit_length() or p ** (2 * k) > MAX_ENTRIES:
+        raise ValueError(
+            f"{p}**{k} points exceed the budget of {MAX_ENTRIES} matrix entries"
+        )
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     count = p**k
-    if count > max_points:
-        raise ValueError(f"p**k = {count} exceeds the {max_points}-point budget")
     labels = tuple(str(i) for i in range(count))
     power = [Fraction(1, p**v) for v in range(k + 1)]
 
@@ -303,6 +311,8 @@ def random_ultrametric(n: int, levels: int = 4, seed: int = 0) -> FiniteSpace:
         raise ValueError(f"n must be at least 1, got {n}")
     if levels < 1:
         raise ValueError(f"levels must be at least 1, got {levels}")
+    if n * n > MAX_ENTRIES:
+        raise ValueError(f"{n} points exceed the budget of {MAX_ENTRIES} matrix entries")
     rng = random.Random(seed)
     labels = tuple(f"x{i}" for i in range(n))
     if n == 1:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .graphs import Partition, SimpleGraph
@@ -28,19 +27,12 @@ from .spaces import (
 )
 
 
-class ThresholdKind(Enum):
-    EMPTY = "empty"
-    COMPLETE_MULTIPARTITE = "complete-multipartite"
-    NOT_MULTIPARTITE = "not-multipartite"
-
-
 @dataclass(frozen=True)
 class ThresholdEntry:
     """Classification of one threshold graph."""
 
     radius: Fraction
-    kind: ThresholdKind
-    parts: Partition | None  # set iff kind is COMPLETE_MULTIPARTITE
+    parts: Partition | None  # None iff the graph is not complete multipartite
 
     @property
     def part_count(self) -> int | None:
@@ -53,13 +45,11 @@ class SweepReport:
 
     `verdict` is True iff every threshold graph is empty or complete
     multipartite, which holds exactly when the space is ultrametric,
-    metric or not.  `metric_input` flags whether the swept space
-    satisfies the triangle inequality at all.
+    metric or not.
     """
 
     entries: tuple[ThresholdEntry, ...]
     verdict: bool
-    metric_input: bool
 
 
 def _graph(space: FiniteSpace, lowest_rank: int) -> SimpleGraph:
@@ -112,17 +102,12 @@ def sweep(space: FiniteSpace) -> SweepReport:
     if space.n < 2:
         raise ValueError("sweep needs at least two points")
     entries = tuple(
-        ThresholdEntry(space.values[k], ThresholdKind.NOT_MULTIPARTITE, None)
-        if classes is None
-        else ThresholdEntry(
-            space.values[k],
-            ThresholdKind.COMPLETE_MULTIPARTITE,
-            _partition(space, classes),
+        ThresholdEntry(
+            space.values[k], None if classes is None else _partition(space, classes)
         )
         for k, classes in space.levels
     )
-    verdict = all(entry.parts is not None for entry in entries)
-    return SweepReport(entries, verdict, classify(space) >= SpaceClass.METRIC_ONLY)
+    return SweepReport(entries, all(entry.parts is not None for entry in entries))
 
 
 def verify_parts_are_balls(space: FiniteSpace) -> bool:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from ._canon import canonical_blocks
+from ._canon import canonical_blocks, check_names
 from .errors import InternalInvariantError
 from .spaces import FiniteSpace, diameter
 
@@ -30,8 +30,7 @@ class SimpleGraph:
         object.__setattr__(self, "vertices", vertices)
         if not vertices:
             raise ValueError("a graph needs at least one vertex")
-        if len(set(vertices)) != len(vertices):
-            raise ValueError("vertex names must be distinct")
+        check_names(vertices, "vertex names")
         known = set(vertices)
         edges = frozenset(frozenset(e) for e in self.edges)
         object.__setattr__(self, "edges", edges)

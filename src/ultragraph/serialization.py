@@ -25,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
+from ._canon import check_names
 from .errors import ParseError
 from .graphs import SimpleGraph
 from .rationals import format_rational, parse_rational
@@ -89,9 +90,9 @@ def parse_space(text: str, origin: str = "<input>") -> FiniteSpace:
 
 def emit_space(space: FiniteSpace) -> str:
     """Canonical space document for a space; exact round trip via parse_space."""
+    texts = [format_rational(v) for v in space.values]  # each distinct value once
     lines = ["points: " + " ".join(space.labels)]
-    for row in space.matrix:
-        lines.append(" ".join(format_rational(e) for e in row))
+    lines.extend(" ".join(map(texts.__getitem__, row)) for row in space.ranks)
     return "\n".join(lines) + "\n"
 
 
@@ -106,9 +107,11 @@ def parse_graph(text: str, origin: str = "<input>") -> SimpleGraph:
     vertices = header[len("vertices:"):].split()
     if not vertices:
         raise ParseError(f"{origin}:{lineno}: no vertex names after 'vertices:'")
+    try:
+        check_names(vertices, "vertex names")
+    except ValueError as exc:
+        raise ParseError(f"{origin}:{lineno}: {exc}") from None
     known = set(vertices)
-    if len(known) != len(vertices):
-        raise ParseError(f"{origin}:{lineno}: vertex names must be distinct")
     edges: set[frozenset[str]] = set()
     for edge_lineno, line in lines[1:]:
         tokens = line.split()

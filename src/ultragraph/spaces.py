@@ -2,7 +2,7 @@
 
 A `FiniteSpace` is a labelled point set plus a square matrix of
 `Fraction` distances.  Construction only enforces structure (shape,
-distinct labels, exact entries); the distance axioms are checked by
+distinct labels that documents can carry, exact entries); the distance axioms are checked by
 `validate`, so malformed matrices can still be built and reported on.
 
 Each derived fact is computed at most once per space and cached on it:
@@ -30,7 +30,7 @@ from functools import cached_property
 from operator import add
 from typing import Iterable
 
-from ._canon import canonical_blocks
+from ._canon import canonical_blocks, check_names
 from .rationals import ZERO, as_rational, format_rational
 
 
@@ -67,8 +67,7 @@ class FiniteSpace:
         object.__setattr__(self, "labels", labels)
         if not labels:
             raise ValueError("a space needs at least one point")
-        if len(set(labels)) != len(labels):
-            raise ValueError("point labels must be distinct")
+        check_names(labels, "point labels")
         n = len(labels)
         rows = tuple(tuple(as_rational(e) for e in row) for row in self.matrix)
         object.__setattr__(self, "matrix", rows)

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from ultragraph import (
+    FiniteSpace,
     ParseError,
+    SimpleGraph,
     SpaceClass,
     classify,
     diametrical_graph,
@@ -112,6 +114,7 @@ def test_analyze_one_point_space(tmp_path, capsys):
     assert main(["analyze", str(path), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["sweep"] is None
+    assert payload["diametrical_graph"]["edge_count"] == 0
     assert payload["gap_condition"] is None
     assert payload["parts_are_balls"] is None
 
@@ -121,6 +124,17 @@ def test_sweep_command(space_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["sweep"]["verdict"] is True
     assert [t["r"] for t in payload["sweep"]["thresholds"]] == ["1", "2"]
+
+
+def test_sweep_of_a_non_metric_space_has_no_metric_qualifier(tmp_path, capsys):
+    path = tmp_path / "semimetric.txt"
+    path.write_text(emit_space(triple_space(6, 2, 2)))
+    assert main(["sweep", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "sweep verdict:     not ultrametric"
+    assert main(["sweep", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["sweep"]["verdict"] is False
+    assert set(payload["sweep"]) == {"verdict", "thresholds"}
 
 
 def test_graph_command_edge_list_and_dot(space_file, capsys):
@@ -211,6 +225,28 @@ def test_predicate_command(tmp_path, c5_file, capsys):
     assert classify(space) is SpaceClass.METRIC_ONLY
 
 
+@pytest.mark.parametrize("name", ["a b", "", 1, "#a"])
+def test_constructors_refuse_names_documents_cannot_carry(name):
+    with pytest.raises(ValueError, match="point labels"):
+        FiniteSpace.from_rows([name, "z"], [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="vertex names"):
+        SimpleGraph.from_edges([name, "z"], [(name, "z")])
+
+
+def test_comment_like_vertex_name_exits_two(tmp_path, capsys):
+    # read as a plain name, "#a" would make the edge line "#a b" a comment
+    path = tmp_path / "g.txt"
+    path.write_text("vertices: #a b c\nb c\n#a b\n")
+    assert main(["predicate", str(path)]) == 2
+    assert "g.txt:1: vertex names" in capsys.readouterr().err
+
+
+def test_construct_random_over_budget_exits_two(capsys):
+    # just over the budget, so a missing check costs seconds, not all memory
+    assert main(["construct", "random", "--n", "2001"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_parse_errors_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("points: a b\n0 zz\nzz 0\n")
@@ -289,6 +325,8 @@ def test_analyze_report_reproduces_library_answers(tmp_path, capsys):
         payload = json.loads(capsys.readouterr().out)
         assert payload["diameter"] == format_rational(diameter(s))
         assert payload["distance_set"] == [format_rational(v) for v in distance_set(s)]
+        edge_count = payload["diametrical_graph"]["edge_count"]
+        assert edge_count == len(diametrical_graph(s).edges)
         assert payload["sweep"]["verdict"] == sweep(s).verdict
         assert payload["gap_condition"] == gap_condition(s)
         ultra = classify(s).name == "ULTRAMETRIC"

@@ -216,6 +216,10 @@ def test_padic_space_rejects_bad_parameters():
         padic_space(3, 0)
     with pytest.raises(ValueError, match="budget"):
         padic_space(5, 7)
+    with pytest.raises(ValueError, match="budget"):
+        padic_space(2, 10**9)  # refused before 2**k is computed
+    with pytest.raises(ValueError, match="budget"):
+        padic_space(2**61 - 1, 1)  # refused before trial division runs
 
 
 def test_distance_chain_examples():
@@ -260,6 +264,11 @@ def test_random_ultrametric_small_cases():
     two = random_ultrametric(2, seed=123)
     assert two.n == 2
     assert classify(two) is SpaceClass.ULTRAMETRIC
+
+
+def test_random_ultrametric_refuses_more_than_2000_points():
+    with pytest.raises(ValueError, match="budget"):
+        random_ultrametric(2001)
 
 
 def test_random_ultrametric_is_deterministic_per_seed():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ultragraph import (
     FiniteSpace,
     SpaceClass,
-    ThresholdKind,
     ball_family,
     classify,
     diameter,
@@ -94,10 +93,9 @@ def test_threshold_edges_shrink_as_the_threshold_grows():
 def test_sweep_ultrametric_example():
     report = sweep(triple_space(2, 2, 1))
     assert report.verdict is True
-    assert report.metric_input is True
     by_radius = {e.radius: e for e in report.entries}
     assert set(by_radius) == {1, 2}
-    assert by_radius[F(1)].kind is ThresholdKind.COMPLETE_MULTIPARTITE
+    assert by_radius[F(1)].parts is not None
     assert by_radius[F(1)].part_count == 3
     assert by_radius[F(2)].part_count == 2
     assert set(by_radius[F(2)].parts.blocks) == {frozenset("a"), frozenset("bc")}
@@ -107,7 +105,7 @@ def test_sweep_metric_only_example():
     report = sweep(triple_space(2, 1, 1))
     assert report.verdict is False
     top = [e for e in report.entries if e.radius == 2][0]
-    assert top.kind is ThresholdKind.NOT_MULTIPARTITE
+    assert top.parts is None
 
 
 def test_sweep_two_point_space():
@@ -130,12 +128,6 @@ def test_sweep_thresholds_are_the_positive_distances_ascending():
         assert [e.radius for e in report.entries] == distance_set(s)[1:]
 
 
-def test_sweep_flags_non_metric_input():
-    s = triple_space(6, 2, 2)
-    assert classify(s) is SpaceClass.SEMIMETRIC_ONLY
-    assert sweep(s).metric_input is False
-
-
 def test_sweep_verdict_matches_classification_oracle():
     rng = random.Random(29)
     for _ in range(300):
@@ -154,7 +146,7 @@ def test_sweep_parts_stay_within_point_count_for_ultrametrics():
         s = random_ultrametric(rng.randint(2, 12), rng.randint(1, 4), seed=rng.randrange(2**32))
         report = sweep(s)
         for entry in report.entries:
-            assert entry.kind is ThresholdKind.COMPLETE_MULTIPARTITE
+            assert entry.parts is not None
             assert 2 <= entry.part_count <= s.n
 
 
@@ -259,4 +251,3 @@ def test_sweep_and_threshold_graphs_match_the_literal_oracle(kind, n, seed):
         report = sweep(s)
         assert report.entries == tuple(naive_sweep(s))
         assert report.verdict == (naive_classify(s) is SpaceClass.ULTRAMETRIC)
-        assert report.metric_input == (naive_classify(s) >= SpaceClass.METRIC_ONLY)

@@ -18,7 +18,6 @@ from ultragraph import (
     SimpleGraph,
     SpaceClass,
     ThresholdEntry,
-    ThresholdKind,
     distance_set,
     multipartite_parts,
     random_ultrametric,
@@ -64,14 +63,8 @@ def naive_sweep(space: FiniteSpace) -> list[ThresholdEntry]:
         if r == ZERO:
             continue
         graph = naive_threshold_graph(space, r)
-        if not graph.edges:
-            entries.append(ThresholdEntry(r, ThresholdKind.EMPTY, None))
-            continue
-        parts = multipartite_parts(graph)
-        if parts is None:
-            entries.append(ThresholdEntry(r, ThresholdKind.NOT_MULTIPARTITE, None))
-        else:
-            entries.append(ThresholdEntry(r, ThresholdKind.COMPLETE_MULTIPARTITE, parts))
+        assert graph.edges, "a pair at distance r is an edge at level r"
+        entries.append(ThresholdEntry(r, multipartite_parts(graph)))
     return entries
 
 
