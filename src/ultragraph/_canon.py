@@ -32,8 +32,3 @@ def canonical_blocks(
     """
     position = {label: i for i, label in enumerate(order)}
     return tuple(sorted(blocks, key=lambda block: min(position[x] for x in block)))
-
-
-def format_block(block: frozenset[str], order: Sequence[str]) -> str:
-    position = {label: i for i, label in enumerate(order)}
-    return "{" + ",".join(sorted(block, key=position.__getitem__)) + "}"

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from ._canon import format_block
 from .constructions import (
     bound_transform,
     counterexample_metric,
@@ -38,7 +37,6 @@ from .diametrical import (
     threshold_graph,
     verify_parts_are_balls,
 )
-from .errors import InternalInvariantError, ParseError
 from .graphs import Partition
 from .rationals import format_rational, parse_rational
 from .serialization import emit_graph, emit_space, load_graph, load_space, to_dot
@@ -59,7 +57,6 @@ class AnalysisReport:
     space: FiniteSpace
     space_class: SpaceClass
     diametrical_edges: int  # pairs at the diameter
-    diametrical_parts: Partition | None
     sweep_report: SweepReport | None  # None for one-point spaces
     gap: bool | None  # None unless the triangle inequality holds and n >= 2
     parts_are_balls: bool | None  # None unless ultrametric and n >= 2
@@ -76,8 +73,6 @@ def analyze_space(space: FiniteSpace) -> AnalysisReport:
         space_class=space_class,
         # each diameter pair appears twice in the matrix; one point gives 1 // 2 == 0
         diametrical_edges=sum(row.count(top) for row in space.ranks) // 2,
-        # the top threshold level is the diametrical graph
-        diametrical_parts=sweep_report.entries[-1].parts if many else None,
         sweep_report=sweep_report,
         gap=(
             gap_condition(space)
@@ -92,9 +87,19 @@ def analyze_space(space: FiniteSpace) -> AnalysisReport:
     )
 
 
+def _diametrical_parts(report: AnalysisReport) -> Partition | None:
+    # the top threshold level is the diametrical graph
+    sweep_report = report.sweep_report
+    return None if sweep_report is None else sweep_report.entries[-1].parts
+
+
 def _partition_lists(parts: Partition, order: Sequence[str]) -> list[list[str]]:
     position = {label: i for i, label in enumerate(order)}
     return [sorted(b, key=position.__getitem__) for b in parts.blocks]
+
+
+def _partition_text(parts: Partition, order: Sequence[str]) -> str:
+    return " ".join("{" + ",".join(b) + "}" for b in _partition_lists(parts, order))
 
 
 def _sweep_json(report: SweepReport, order: Sequence[str]) -> dict:
@@ -128,6 +133,7 @@ def _provenance(argv: Sequence[str]) -> dict:
 
 def _report_json(report: AnalysisReport, argv: Sequence[str]) -> dict:
     order, values = report.space.labels, report.space.values
+    parts = _diametrical_parts(report)
     return {
         "provenance": _provenance(argv),
         "points": list(order),
@@ -136,12 +142,8 @@ def _report_json(report: AnalysisReport, argv: Sequence[str]) -> dict:
         "distance_set": [format_rational(v) for v in values],
         "diametrical_graph": {
             "edge_count": report.diametrical_edges,
-            "multipartite": report.diametrical_parts is not None,
-            "parts": (
-                None
-                if report.diametrical_parts is None
-                else _partition_lists(report.diametrical_parts, order)
-            ),
+            "multipartite": parts is not None,
+            "parts": None if parts is None else _partition_lists(parts, order),
         },
         "sweep": (
             None
@@ -161,7 +163,7 @@ def _sweep_text(report: SweepReport, order: Sequence[str]) -> list[str]:
         if entry.parts is None:
             detail = "not multipartite"
         else:
-            parts = " ".join(format_block(b, order) for b in entry.parts.blocks)
+            parts = _partition_text(entry.parts, order)
             detail = f"complete multipartite  k={entry.part_count}  parts: {parts}"
         lines.append(f"  r={format_rational(entry.radius)}  {detail}")
     return lines
@@ -180,11 +182,11 @@ def _report_text(report: AnalysisReport, argv: Sequence[str]) -> str:
         f"diameter:          {format_rational(values[-1])}",
         "distance set:      " + " ".join(format_rational(v) for v in values),
     ]
-    if report.diametrical_parts is None:
+    parts = _diametrical_parts(report)
+    if parts is None:
         summary = "not multipartite"
     else:
-        blocks = " ".join(format_block(b, order) for b in report.diametrical_parts.blocks)
-        summary = f"complete multipartite, parts: {blocks}"
+        summary = f"complete multipartite, parts: {_partition_text(parts, order)}"
     lines.append(f"diametrical graph: {report.diametrical_edges} edges; {summary}")
     lines.append(f"gap condition:     {_flag(report.gap)}")
     lines.append(f"parts are balls:   {_flag(report.parts_are_balls)}")
@@ -252,18 +254,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     space = load_space(args.space)
-    if args.kind == "bound":
-        if args.dstar is None:
-            raise ValueError("bound requires --dstar")
-        result = bound_transform(space, parse_rational(args.dstar))
-    elif args.kind == "unbound":
-        if args.dstar is None:
-            raise ValueError("unbound requires --dstar")
-        result = unbound_transform(space, parse_rational(args.dstar))
-    else:  # truncate
-        if args.r is None:
-            raise ValueError("truncate requires --r")
-        result = truncate(space, parse_rational(args.r))
+    result = args.transform(space, parse_rational(args.value))
     _write_output(emit_space(result), args.output)
     return 0
 
@@ -388,14 +379,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="rescale or truncate a space document")
     kinds = p.add_subparsers(dest="kind", required=True)
-    for kind, flag in (("bound", "--dstar"), ("unbound", "--dstar"), ("truncate", "--r")):
+    for kind, transform, flag in (
+        ("bound", bound_transform, "--dstar"),
+        ("unbound", unbound_transform, "--dstar"),
+        ("truncate", truncate, "--r"),
+    ):
         q = kinds.add_parser(kind)
-        q.add_argument(flag, required=True)
+        q.add_argument(flag, dest="value", metavar=flag[2:].upper(), required=True)
         q.add_argument("space")
         add_output(q)
-        # default the flag the other transforms use so the handler can
-        # read both attributes unconditionally
-        q.set_defaults(handler=_cmd_transform, dstar=None, r=None)
+        q.set_defaults(handler=_cmd_transform, transform=transform)
 
     p = sub.add_parser("compare", help="isometry and weak-similarity verdict")
     p.add_argument("space_a")
@@ -426,12 +419,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.argv = [parser.prog, *argv]
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InternalInvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,8 +14,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .graphs import SimpleGraph, complement, connected_components
-from .rationals import ONE, ZERO, as_rational, format_rational
+from .graphs import SimpleGraph, complement
+from .rationals import ONE, ZERO, as_rational, format_rational, positive_rational
 from .spaces import (
     FiniteSpace,
     SpaceClass,
@@ -57,15 +57,14 @@ def safe_graph_predicate(g: SimpleGraph) -> bool:
 
     Holds iff every connected component of the complement has at most
     two vertices, i.e. the complement is a matching plus isolated
-    vertices.  A complement component with three or more vertices
-    leaves room for a non-ultrametric metric realizing g (see
-    `counterexample_metric`).  The graph must be nonempty.
+    vertices: every vertex has at most one complement neighbour, so at
+    least n - 2 neighbours in g.  A complement component with three or
+    more vertices leaves room for a non-ultrametric metric realizing g
+    (see `counterexample_metric`).  The graph must be nonempty.
     """
     if not g.edges:
         raise ValueError("graph must have at least one edge")
-    return all(
-        len(block) <= 2 for block in connected_components(complement(g)).blocks
-    )
+    return all(len(adj) >= g.n - 2 for adj in g.adjacency.values())
 
 
 def _witness_triple(g: SimpleGraph) -> tuple[str, str, str]:
@@ -147,9 +146,7 @@ def truncate(space: FiniteSpace, r: Fraction | int | str) -> FiniteSpace:
     min(r, old diameter).
     """
     require_valid(space)
-    r = as_rational(r)
-    if r <= ZERO:
-        raise ValueError(f"cap must be positive, got {format_rational(r)}")
+    r = positive_rational(r, "cap")
     return _map_values(space, [min(r, v) for v in space.values])
 
 
@@ -167,9 +164,7 @@ def bound_transform(space: FiniteSpace, dstar: Fraction | int | str) -> FiniteSp
     Inverse of `unbound_transform` at the same dstar.
     """
     _require_ultrametric(space)
-    dstar = as_rational(dstar)
-    if dstar <= ZERO:
-        raise ValueError(f"dstar must be positive, got {format_rational(dstar)}")
+    dstar = positive_rational(dstar, "dstar")
     return _map_values(space, [dstar * t / (1 + t) for t in space.values])
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Partition, SimpleGraph
-from .rationals import ZERO, as_rational, format_rational
+from .rationals import ZERO, positive_rational
 from .spaces import (
     FiniteSpace,
     SpaceClass,
@@ -41,15 +41,17 @@ class ThresholdEntry:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Per-threshold classifications plus the overall verdict.
-
-    `verdict` is True iff every threshold graph is empty or complete
-    multipartite, which holds exactly when the space is ultrametric,
-    metric or not.
-    """
+    """Per-threshold classifications plus the overall verdict."""
 
     entries: tuple[ThresholdEntry, ...]
-    verdict: bool
+
+    @property
+    def verdict(self) -> bool:
+        """True iff every threshold graph is empty or complete multipartite.
+
+        That holds exactly when the space is ultrametric, metric or not.
+        """
+        return all(entry.parts is not None for entry in self.entries)
 
 
 def _graph(space: FiniteSpace, lowest_rank: int) -> SimpleGraph:
@@ -76,9 +78,7 @@ def diametrical_graph(space: FiniteSpace) -> SimpleGraph:
 def threshold_graph(space: FiniteSpace, r: Fraction | int | str) -> SimpleGraph:
     """Graph joining the point pairs at distance >= r."""
     require_valid(space)
-    r = as_rational(r)
-    if r <= ZERO:
-        raise ValueError(f"threshold must be positive, got {format_rational(r)}")
+    r = positive_rational(r, "threshold")
     return _graph(space, bisect_left(space.values, r))
 
 
@@ -107,7 +107,7 @@ def sweep(space: FiniteSpace) -> SweepReport:
         )
         for k, classes in space.levels
     )
-    return SweepReport(entries, all(entry.parts is not None for entry in entries))
+    return SweepReport(entries)
 
 
 def verify_parts_are_balls(space: FiniteSpace) -> bool:

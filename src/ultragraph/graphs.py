@@ -14,8 +14,7 @@ from functools import cached_property
 from typing import Iterable
 
 from ._canon import canonical_blocks, check_names
-from .errors import InternalInvariantError
-from .spaces import FiniteSpace, diameter
+from .spaces import FiniteSpace
 
 
 @dataclass(frozen=True)
@@ -96,9 +95,6 @@ class Partition:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def members(self) -> frozenset[str]:
-        return frozenset().union(*self.blocks)
-
 
 def complement(g: SimpleGraph) -> SimpleGraph:
     """Same vertices; a pair is an edge iff it was not one."""
@@ -112,23 +108,29 @@ def complement(g: SimpleGraph) -> SimpleGraph:
     return SimpleGraph(verts, frozenset(edges))
 
 
+def _bfs_distances(g: SimpleGraph, source: str) -> dict[str, int]:
+    adjacency = g.adjacency
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in adjacency[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
 def connected_components(g: SimpleGraph) -> Partition:
     """Maximal path-connected vertex sets; isolated vertices form singletons."""
-    adjacency = g.adjacency
-    unseen = set(g.vertices)
+    seen: set[str] = set()
     blocks: list[frozenset[str]] = []
-    while unseen:
-        start = unseen.pop()
-        component = {start}
-        queue = deque([start])
-        while queue:
-            for w in adjacency[queue.popleft()]:
-                if w not in component:
-                    component.add(w)
-                    queue.append(w)
-        unseen -= component
-        blocks.append(frozenset(component))
-    return Partition(canonical_blocks(blocks, g.vertices))
+    for v in g.vertices:  # blocks come out ordered by their earliest vertex
+        if v not in seen:
+            component = frozenset(_bfs_distances(g, v))
+            seen |= component
+            blocks.append(component)
+    return Partition(tuple(blocks))
 
 
 def multipartite_parts(g: SimpleGraph) -> Partition | None:
@@ -167,19 +169,6 @@ def multipartite_parts(g: SimpleGraph) -> Partition | None:
     return Partition(canonical_blocks(set(block_of.values()), verts))
 
 
-def _bfs_distances(g: SimpleGraph, source: str) -> dict[str, int]:
-    adjacency = g.adjacency
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adjacency[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
 def graph_metric(g: SimpleGraph) -> FiniteSpace:
     """Shortest-path distances of a connected graph as a FiniteSpace."""
     n = g.n
@@ -198,35 +187,12 @@ def graph_metric(g: SimpleGraph) -> FiniteSpace:
 def is_classical_diametrical(g: SimpleGraph) -> bool:
     """Whether every vertex has exactly one partner at graph diameter.
 
-    Computes the same answer two ways and cross-checks them: (1) count
-    each vertex's diameter-realizing partners in the shortest-path
-    metric; (2) take the graph whose edges are the diameter pairs,
-    complement it, and ask for complete multipartite parts all of size
-    two.  The two routes provably agree for |V| >= 3; disagreement
-    raises InternalInvariantError.
-
-    |V| = 2 is a convention corner: the single-edge graph passes the
-    unique-partner test, but route (2) degenerates because one part of
-    size two is below the two-part minimum for a complete multipartite
-    graph.  The unique-partner answer (True) is returned.
+    Counts, row by row, the entries at the top rank of the shortest-path
+    metric.  Raises ValueError for fewer than two vertices and, through
+    `graph_metric`, for a disconnected graph.
     """
     if g.n < 2:
         raise ValueError("need at least two vertices")
-    if connected_components(g).block_count != 1:
-        raise ValueError("graph must be connected")
     space = graph_metric(g)
-    diam = diameter(space)
-    unique_partner = all(
-        sum(1 for d in row if d == diam) == 1 for row in space.matrix
-    )
-
-    from .diametrical import diametrical_graph  # local import to avoid a cycle
-
-    parts = multipartite_parts(complement(diametrical_graph(space)))
-    paired_parts = parts is not None and all(len(b) == 2 for b in parts.blocks)
-    if g.n >= 3 and unique_partner != paired_parts:
-        raise InternalInvariantError(
-            "diameter-partner test and complement-parts test disagree "
-            f"on a {g.n}-vertex graph"
-        )
-    return unique_partner
+    top = len(space.values) - 1  # rank of the diameter
+    return all(row.count(top) == 1 for row in space.ranks)

@@ -70,6 +70,14 @@ def as_rational(value: Fraction | int | str) -> Fraction:
     )
 
 
+def positive_rational(value: Fraction | int | str, what: str) -> Fraction:
+    """Coerce like `as_rational`, then refuse zero and negative values."""
+    r = as_rational(value)
+    if r <= ZERO:
+        raise ValueError(f"{what} must be positive, got {format_rational(r)}")
+    return r
+
+
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "p" or "p/q"; round trips through parse_rational."""
     if value.denominator == 1:

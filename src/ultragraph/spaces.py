@@ -31,7 +31,7 @@ from operator import add
 from typing import Iterable
 
 from ._canon import canonical_blocks, check_names
-from .rationals import ZERO, as_rational, format_rational
+from .rationals import ZERO, as_rational, format_rational, positive_rational
 
 
 class SpaceClass(IntEnum):
@@ -286,9 +286,7 @@ def open_ball(
 ) -> frozenset[str]:
     """Points strictly closer than `radius` to `center` (always includes it)."""
     require_valid(space)
-    r = as_rational(radius)
-    if r <= ZERO:
-        raise ValueError(f"radius must be positive, got {format_rational(r)}")
+    r = positive_rational(radius, "radius")
     return _ball(space, space.ranks[space.position(center)], r)
 
 
@@ -309,9 +307,7 @@ def ball_family(space: FiniteSpace, radius: Fraction | int | str) -> BallFamily:
     a partition (see `check_ball_coincidence`).
     """
     require_valid(space)
-    r = as_rational(radius)
-    if r <= ZERO:
-        raise ValueError(f"radius must be positive, got {format_rational(r)}")
+    r = positive_rational(radius, "radius")
     distinct = dict.fromkeys(_all_balls(space, r))
     return BallFamily(radius=r, balls=canonical_blocks(distinct, space.labels))
 
@@ -324,13 +320,7 @@ def check_ball_coincidence(space: FiniteSpace, radius: Fraction | int | str) -> 
     what the test suite probes).
     """
     require_valid(space)
-    r = as_rational(radius)
-    if r <= ZERO:
-        raise ValueError(f"radius must be positive, got {format_rational(r)}")
-    balls = list(dict.fromkeys(_all_balls(space, r)))
-    for i in range(len(balls)):
-        for j in range(i + 1, len(balls)):
-            if balls[i] & balls[j]:
-                # distinct sets by construction, so any overlap is a failure
-                return False
-    return True
+    r = positive_rational(radius, "radius")
+    # every point lies in its own ball, so the distinct balls are
+    # pairwise disjoint exactly when their sizes add up to n
+    return sum(map(len, set(_all_balls(space, r)))) == space.n

@@ -1,7 +1,10 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultragraph import (
     FiniteSpace,
@@ -48,6 +51,41 @@ def test_parse_space_round_trip_is_exact_and_byte_stable():
         doc = emit_space(s)
         assert parse_space(doc) == s
         assert emit_space(parse_space(doc)) == doc
+
+
+# names a document can carry: non-empty, no whitespace, no leading '#'
+NAME_LISTS = st.lists(
+    st.text(min_size=1, max_size=4).filter(
+        lambda t: t.split() == [t] and not t.startswith("#")
+    ),
+    min_size=1,
+    max_size=6,
+    unique=True,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_emit_and_parse_space_are_inverse(data):
+    labels = data.draw(NAME_LISTS)
+    n = len(labels)
+    row = st.lists(st.fractions(min_value=0), min_size=n, max_size=n)
+    s = FiniteSpace.from_rows(labels, data.draw(st.lists(row, min_size=n, max_size=n)))
+    text = emit_space(s)
+    assert parse_space(text) == s
+    assert emit_space(parse_space(text)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_emit_and_parse_graph_are_inverse(data):
+    vertices = data.draw(NAME_LISTS)
+    pairs = list(combinations(vertices, 2))
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = SimpleGraph.from_edges(vertices, [p for p, keep in zip(pairs, chosen) if keep])
+    text = emit_graph(g)
+    assert parse_graph(text) == g
+    assert emit_graph(parse_graph(text)) == text
 
 
 def test_parse_space_accepts_comments_and_rational_forms():

@@ -144,7 +144,7 @@ def test_classical_diametrical_cycles_and_path(labels, expected):
 
 def test_classical_diametrical_two_vertex_convention():
     # the single edge passes the unique-partner definition; the
-    # complement route degenerates at this size (documented)
+    # complement-parts oracle below holds only from three vertices on
     assert is_classical_diametrical(graph_on("ab", [("a", "b")])) is True
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -223,6 +224,10 @@ def test_classify_and_balls_match_the_literal_oracles(kind, n, seed):
     assert classify(s) is naive_classify(s)
     values = distance_set(s)
     for r in values[1:] + [values[-1] + F(1, 3)]:
+        balls = set()
         for x in s.labels:
-            literal = {y for y in s.labels if s.distance(x, y) < r}
+            literal = frozenset(y for y in s.labels if s.distance(x, y) < r)
             assert open_ball(s, x, r) == literal
+            balls.add(literal)
+        disjoint = all(not a & b for a, b in combinations(balls, 2))
+        assert check_ball_coincidence(s, r) is disjoint
