@@ -6,7 +6,7 @@ provides the standard constructions (graph metrics, p-adic residue
 spaces, bounded/unbounded rescalings, weak similarity search).
 """
 
-from .errors import InternalInvariantError, ParseError
+from .errors import InternalInvariantError, ParseError, SearchBudgetExceeded
 from .rationals import as_rational, format_rational, parse_rational
 from .spaces import (
     BallFamily,
@@ -75,6 +75,7 @@ __all__ = [
     "InternalInvariantError",
     "ParseError",
     "Partition",
+    "SearchBudgetExceeded",
     "SimpleGraph",
     "SpaceClass",
     "SweepReport",

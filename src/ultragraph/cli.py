@@ -4,7 +4,7 @@ Subcommands: analyze, sweep, graph, construct, transform, compare,
 predicate.  Exit codes: 0 success; 1 a check-style command answered
 "no" (predicate false, compare dissimilar); 2 input or parse error;
 3 internal invariant violation or any other unexpected exception (a
-bug).
+bug); 4 compare undecided (its search ran out of work budget).
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ from .diametrical import (
     threshold_graph,
     verify_parts_are_balls,
 )
+from .errors import SearchBudgetExceeded
 from .graphs import Partition
 from .rationals import format_rational, parse_rational
 from .serialization import emit_graph, emit_space, load_graph, load_space, to_dot
 from .similarity import find_weak_similarity
-from .spaces import FiniteSpace, SpaceClass, classify, distance_set, require_valid
+from .spaces import FiniteSpace, SpaceClass, classify, require_valid
 
 _CLASS_NAMES = {
     SpaceClass.SEMIMETRIC_ONLY: "semimetric",
@@ -262,8 +263,12 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     a = load_space(args.space_a)
     b = load_space(args.space_b)
-    witness = find_weak_similarity(a, b)
-    isometric = witness is not None and distance_set(a) == distance_set(b)
+    try:
+        witness = find_weak_similarity(a, b)
+    except SearchBudgetExceeded as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
+        return 4
+    isometric = witness is not None and witness.isometric
     if args.json:
         payload = {
             "provenance": _provenance(args.argv),

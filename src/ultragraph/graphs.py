@@ -31,7 +31,7 @@ class SimpleGraph:
             raise ValueError("a graph needs at least one vertex")
         check_names(vertices, "vertex names")
         known = set(vertices)
-        edges = frozenset(frozenset(e) for e in self.edges)
+        edges = frozenset(e if isinstance(e, frozenset) else frozenset(e) for e in self.edges)
         object.__setattr__(self, "edges", edges)
         for edge in edges:
             if len(edge) != 2:

@@ -203,9 +203,18 @@ class FiniteSpace:
             below += len(buckets[k])
         return tuple(levels)
 
+    @property
+    def is_ultrametric(self) -> bool:
+        """Whether every threshold level passes; validates the space first.
+
+        Reads `levels` alone and never scans triples, so it is the cheap
+        test; `classify` answers the same question through it.
+        """
+        return all(classes is not None for _, classes in self.levels)
+
     @cached_property
     def _class(self) -> SpaceClass:
-        if all(classes is not None for _, classes in self.levels):
+        if self.is_ultrametric:
             return SpaceClass.ULTRAMETRIC
         if _satisfies_triangle(self):
             return SpaceClass.METRIC_ONLY

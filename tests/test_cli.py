@@ -20,7 +20,7 @@ from ultragraph import (
     parse_space,
     to_dot,
 )
-from ultragraph import cli, rationals
+from ultragraph import cli, rationals, similarity
 from ultragraph.cli import main
 from ultragraph.rationals import parse_rational
 from util import cycle_graph, random_metric_space, triple_space
@@ -246,6 +246,32 @@ def test_compare_command(tmp_path, capsys):
 
     assert main(["compare", str(a), str(a), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["isometric"] is True
+
+
+def test_compare_out_of_budget_exits_four_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # C6 against two triangles: both 2-regular, so the first refinement
+    # keeps one cell and the search must individualize
+    hexagon = tmp_path / "c6.txt"
+    triangles = tmp_path / "2c3.txt"
+    out = tmp_path / "out.json"
+    hexagon.write_text(emit_space(metric_from_graph(cycle_graph("abcdef"))))
+    pairs = [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"), ("d", "f")]
+    triangles.write_text(emit_space(metric_from_graph(SimpleGraph.from_edges("abcdef", pairs))))
+    argv = ["compare", "--json", str(hexagon), str(triangles), "-o", str(out)]
+    assert main(argv) == 1
+    assert json.loads(out.read_text())["weakly_similar"] is False
+    out.unlink()
+    capsys.readouterr()
+
+    monkeypatch.setattr(similarity, "WORK_BUDGET", 40)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "undecided: search budget of 40 refined pair entries ran out "
+        "after 2 nodes and 36 entries\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_predicate_command(tmp_path, c5_file, capsys):

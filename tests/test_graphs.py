@@ -31,6 +31,14 @@ def test_graph_structure_is_enforced():
         SimpleGraph.from_edges("ab", [("a", "a")])
     with pytest.raises(ValueError, match="endpoint"):
         SimpleGraph.from_edges("ab", [("a", "z")])
+    with pytest.raises(ValueError, match="two distinct"):
+        SimpleGraph("abc", frozenset({frozenset("abc")}))
+
+
+def test_frozen_edges_are_kept_and_others_frozen():
+    edge = frozenset("ab")
+    assert next(iter(SimpleGraph("abc", frozenset({edge})).edges)) is edge
+    assert SimpleGraph("abc", [("b", "a")]).edges == {edge}
 
 
 def test_complement_of_complete_graph_is_empty():
